@@ -30,6 +30,7 @@ func stressGraphs() []*graph.Graph {
 		gen.Random(800, 1600, 3),
 		graph.Union(gen.Chain(50), gen.Star(40), gen.Random(200, 300, 9)),
 		gen.Torus2D(16, 16),
+		sweepRestartGraph(),
 	}
 }
 
@@ -76,6 +77,15 @@ func runStress(t *testing.T, name string, run func(*graph.Graph, Options) ([]gra
 
 func TestChaosStressConcurrent(t *testing.T) { runStress(t, "concurrent", SpanningForest) }
 func TestChaosStressLockstep(t *testing.T)   { runStress(t, "lockstep", LockstepForest) }
+
+// TestChaosStressStealOne runs the same schedules over the Chase-Lev
+// steal-one queues, whose mid-run clear steals every element.
+func TestChaosStressStealOne(t *testing.T) {
+	runStress(t, "stealone", func(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
+		o.StealOne = true
+		return SpanningForest(g, o)
+	})
+}
 
 // TestChaosStressSharded drives the sharded engine — shard teams in
 // both wave regimes, the quiescence reseed path, and the stitch phase —

@@ -350,6 +350,9 @@ type workQueue interface {
 	// extended slice (unchanged when nothing was stolen).
 	StealInto(buf []int32) []int32
 	Len() int
+	// Clear drops every queued element; safe while the owner and
+	// thieves are active (see buSweepEnd).
+	Clear()
 	// HighWater is the maximum length the queue ever reached.
 	HighWater() int
 }
@@ -365,6 +368,7 @@ func (s stealHalfQueue) PopBatchLen(dst []int32) (int, int) {
 }
 func (s stealHalfQueue) StealInto(buf []int32) []int32 { return s.q.Steal(buf) }
 func (s stealHalfQueue) Len() int                      { return s.q.Len() }
+func (s stealHalfQueue) Clear()                        { s.q.Clear() }
 func (s stealHalfQueue) HighWater() int                { return s.q.HighWater() }
 
 type chaseLevQueue struct{ q *wsq.ChaseLev }
@@ -402,6 +406,7 @@ func (c chaseLevQueue) StealInto(buf []int32) []int32 {
 	return buf
 }
 func (c chaseLevQueue) Len() int       { return c.q.Len() }
+func (c chaseLevQueue) Clear()         { c.q.Clear() }
 func (c chaseLevQueue) HighWater() int { return c.q.HighWater() }
 
 // traversal holds the shared state of the work-stealing phase of one
@@ -747,11 +752,11 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 		t.inj.Visit(t.tidBase+tid, chaos.PointDrain)
 		if t.dirOpt && t.phase.Load() == phaseBottomUp {
 			// Bottom-up phase: scan one sweep quantum instead of draining
-			// the queue (the queued frontier keeps for the return to
-			// top-down; sweeping claims around it). The quantum always
+			// the queue (the queued frontier waits for the return to
+			// top-down, or is dropped at a sweep restart). The quantum always
 			// advances the shared cursor or ends the sweep, so it counts
 			// as watchdog progress.
-			t.bottomUpQuantum(ws, myQ)
+			t.bottomUpQuantum(tid, ws, myQ)
 			t.wd.Beat(t.tidBase + tid)
 			fruitless = 0
 			continue
@@ -1011,12 +1016,14 @@ func (t *traversal) stealFrom(victim int, myQ workQueue, stealBuf *[]int32,
 // count of consecutive unproductive cycles.
 //
 // Quiescence invariant: when all p processors are asleep, no processor
-// is processing a vertex, so no claims are in flight; every vertex
-// adjacent to a colored vertex is itself colored, hence the uncolored
-// vertices form whole components. The elected leader (the processor
-// that observes sleepers == p) may therefore claim the next uncolored
-// vertex as a fresh root — that is how disconnected inputs become
-// spanning forests with exactly one root per component.
+// is processing a vertex or scanning a sweep quantum, so no claims are
+// in flight and every queue is empty. Every colored vertex was then
+// either expanded or closed by a later completed sweep (direction.go),
+// so every vertex adjacent to a colored vertex is itself colored, hence
+// the uncolored vertices form whole components. The elected leader
+// (the processor that observes sleepers == p) may therefore claim the
+// next uncolored vertex as a fresh root — that is how disconnected
+// inputs become spanning forests with exactly one root per component.
 func (t *traversal) idleOnce(tid int, myQ workQueue, fruitless int, probe *smpmodel.Probe, ow *obs.Worker) bool {
 	t.inj.Visit(t.tidBase+tid, chaos.PointIdle)
 	t.sleepers.Add(1)
@@ -1055,10 +1062,11 @@ func (t *traversal) idleOnce(tid int, myQ workQueue, fruitless int, probe *smpmo
 // trySeedNextComponent claims the next uncolored vertex as a fresh root
 // under the seeding mutex. The re-checks inside the mutex make the
 // quiescence decision sound: with all p processors asleep and every
-// queue empty, no claim is in flight, so every vertex adjacent to a
-// colored vertex is already colored and the uncolored set is a union of
-// whole components — claiming one vertex per quiescence episode yields
-// exactly one root per component.
+// queue empty, no claim is in flight and every colored vertex has been
+// expanded or closed by a completed sweep, so every vertex adjacent to
+// a colored vertex is already colored and the uncolored set is a union
+// of whole components — claiming one vertex per quiescence episode
+// yields exactly one root per component.
 func (t *traversal) trySeedNextComponent(tid int, myQ workQueue, probe *smpmodel.Probe) bool {
 	t.seedMu.Lock()
 	defer t.seedMu.Unlock()
@@ -1084,19 +1092,23 @@ func (t *traversal) trySeedNextComponent(tid int, myQ workQueue, probe *smpmodel
 	return true
 }
 
-// nextUncolored advances the shared cursor to the next uncolored vertex
-// of this traversal's range.
+// nextUncolored advances the quiescence cursor to the next uncolored
+// vertex of this traversal's range. Its callers are serialized (seedMu
+// in the concurrent driver, the single goroutine of the lockstep one),
+// so it scans with a local index and publishes the cursor with one
+// store: a fetch-add per inspected vertex would pay ~n serialized
+// atomics per run while every other worker sleeps.
 func (t *traversal) nextUncolored(probe *smpmodel.Probe) (graph.VID, bool) {
-	for {
-		i := t.cursor.Add(1) - 1
-		if i >= int64(t.n) {
-			return 0, false
-		}
+	i := t.cursor.Load()
+	for ; i < int64(t.n); i++ {
 		probe.NonContig(1)
 		if atomic.LoadInt32(&t.parent[t.lo+graph.VID(i)]) == graph.None {
+			t.cursor.Store(i + 1)
 			return t.lo + graph.VID(i), true
 		}
 	}
+	t.cursor.Store(i)
+	return 0, false
 }
 
 // fallback completes a partially grown forest with Shiloach-Vishkin, the

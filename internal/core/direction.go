@@ -10,17 +10,26 @@ package core
 // in vertex order, and for each still-unclaimed vertex scan its
 // neighbors for any claimed parent — one CAS per vertex claimed, no
 // per-edge queue writes, and the parent-array stream is contiguous
-// (charged as smpmodel.BottomUpScans). Claimed vertices are still
-// pushed so the claimed-implies-queued invariant — and with it the
-// quiescence protocol — is untouched; a sweep that claims too little
+// (charged as smpmodel.BottomUpScans). A sweep that claims too little
 // flips back to top-down. This is the classic direction-optimizing
 // (top-down / bottom-up) switch fused into the chunked drain, applied
 // identically (and deterministically) in the lockstep driver.
+//
+// The quiescence protocol needs every claimed vertex to be queued,
+// expanded, or closed by a later completed sweep. Sweep claims are
+// pushed like top-down children. When a sweep ends still dense, the
+// queues are cleared before the next sweep starts: that sweep rescans
+// every unclaimed vertex against all of its neighbours, so each dropped
+// vertex is closed (has no unclaimed neighbour) once it completes. The
+// last sweep's claims stay queued and hand off to top-down as the
+// frontier. No worker sleeps while a sweep quantum is in flight, so
+// quiescence never sees a half-finished sweep.
 
 import (
 	"fmt"
 	"sync/atomic"
 
+	"spantree/internal/chaos"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
@@ -144,7 +153,7 @@ func (t *traversal) buEnter(frontier int64, ow *obs.Worker) {
 // sweep again or return to top-down. A sweep that claimed fewer than
 // n/buBeta vertices, or left fewer than buMinRemaining unclaimed, ends
 // the bottom-up phase.
-func (t *traversal) buSweepEnd(ow *obs.Worker) {
+func (t *traversal) buSweepEnd(tid int, ow *obs.Worker) {
 	t.buMu.Lock()
 	defer t.buMu.Unlock()
 	if t.phase.Load() != phaseBottomUp || t.buCursor.Load() < int64(t.n) {
@@ -153,8 +162,21 @@ func (t *traversal) buSweepEnd(ow *obs.Worker) {
 	claims := t.buClaims.Load()
 	remaining := int64(t.n) - t.visited.Load()
 	if remaining > buMinRemaining && claims*buBeta >= int64(t.n) {
+		// Still dense: sweep again. Every queued vertex was claimed
+		// before the next sweep starts, and that sweep rescans every
+		// unclaimed vertex against all of its neighbours, so once it
+		// completes no queued vertex has an unclaimed neighbour left.
+		// Drop the queues before the cursor reset: expanding them would
+		// claim nothing.
+		for _, q := range t.queues {
+			q.Clear()
+		}
+		// Chaos stalls here hold the sweep boundary open: pushes from
+		// in-flight quanta and stale top-down chunks land between the
+		// clear and the reset.
+		t.inj.Visit(t.tidBase+tid, chaos.PointDrain)
 		t.buClaims.Store(0)
-		t.buCursor.Store(0) // still dense: sweep again
+		t.buCursor.Store(0)
 		return
 	}
 	t.phase.Store(phaseTopDown)
@@ -166,11 +188,11 @@ func (t *traversal) buSweepEnd(ow *obs.Worker) {
 // worker: grab buChunk vertices off the shared sweep cursor, scan them,
 // push the claims onto the worker's own queue, and publish the visit
 // count so termination and quiescence see bottom-up progress.
-func (t *traversal) bottomUpQuantum(ws *workerState, myQ workQueue) {
+func (t *traversal) bottomUpQuantum(tid int, ws *workerState, myQ workQueue) {
 	start := t.buCursor.Add(buChunk) - buChunk
 	ws.probe.NonContig(1) // shared sweep-cursor fetch-add
 	if start >= int64(t.n) {
-		t.buSweepEnd(ws.ow)
+		t.buSweepEnd(tid, ws.ow)
 		return
 	}
 	hi := min(int(start)+buChunk, t.n)

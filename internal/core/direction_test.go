@@ -6,6 +6,7 @@ import (
 	"spantree/internal/gen"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
+	"spantree/internal/spanseq"
 	"spantree/internal/verify"
 )
 
@@ -25,6 +26,26 @@ func fig4Family() []*graph.Graph {
 		gen.Chain(n),
 		graph.RandomRelabel(gen.Chain(n), seed^0x5A5A),
 	}
+}
+
+// sweepRestartGraph needs several bottom-up sweeps: three dense random
+// components, each seeded at quiescence and each entering its own
+// bottom-up episode, with more sweeps than episodes, so the queues are
+// cleared at a sweep restart at least once (TestSweepRestartStress pins
+// that at p = 1).
+func sweepRestartGraph() *graph.Graph {
+	return graph.Union(gen.Random(8192, 32768, 7), gen.Random(8192, 32768, 8),
+		gen.Random(8192, 32768, 9))
+}
+
+func numRoots(parent []graph.VID) int {
+	roots := 0
+	for _, pv := range parent {
+		if pv == graph.None {
+			roots++
+		}
+	}
+	return roots
 }
 
 func TestDirectionAndLayoutParse(t *testing.T) {
@@ -191,6 +212,78 @@ func TestCompactLayoutOnTinyGraphs(t *testing.T) {
 			}
 			if err := verify.Forest(g, parent); err != nil {
 				t.Fatalf("%s %v: %v", name, g, err)
+			}
+		}
+	}
+}
+
+// TestSweepRestartDropsClosedVertices pins the frontier hand-off on
+// counters, not timings: this graph takes one bottom-up episode of two
+// sweeps at p = 1, and the restart drops every vertex queued before it,
+// so the run scans fewer arcs than the graph has. Expanding the dropped
+// vertices instead pushes the count past len(g.Adj).
+func TestSweepRestartDropsClosedVertices(t *testing.T) {
+	g := gen.Random(1<<16, 4<<16, 7)
+	n := int64(g.NumVertices())
+	wantComps := numRoots(spanseq.BFS(g, nil))
+	for name, run := range drivers() {
+		rec := obs.New(1)
+		parent, _, err := run(g, Options{NumProcs: 1, Seed: 5, Obs: rec})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := verify.Forest(g, parent); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := numRoots(parent); got != wantComps {
+			t.Fatalf("%s: %d roots, want %d", name, got, wantComps)
+		}
+		tot := rec.NewReport("", nil).Snapshot.Totals
+		if tot.DirectionSwitches != 2 || tot.BottomUpScanned != 2*n {
+			t.Fatalf("%s: switches=%d swept=%d, want one episode of two sweeps (2, %d)",
+				name, tot.DirectionSwitches, tot.BottomUpScanned, 2*n)
+		}
+		if tot.EdgesScanned >= int64(len(g.Adj)) {
+			t.Fatalf("%s: scanned %d arcs, want fewer than the graph's %d",
+				name, tot.EdgesScanned, len(g.Adj))
+		}
+	}
+}
+
+// TestSweepRestartStress drives the sweep restart with real races (run
+// it under -race): both drivers, both queue designs, p = 2, 4, 8. Every
+// run must verify and seed exactly one root per component — a vertex
+// dropped before its neighbours were closed would leave them unclaimed
+// at quiescence and split its component.
+func TestSweepRestartStress(t *testing.T) {
+	g := sweepRestartGraph()
+	n := int64(g.NumVertices())
+	wantComps := graph.NumComponents(g)
+	rec := obs.New(1)
+	if _, _, err := LockstepForest(g, Options{NumProcs: 1, Seed: 5, Obs: rec}); err != nil {
+		t.Fatal(err)
+	}
+	tot := rec.NewReport("", nil).Snapshot.Totals
+	if episodes := (tot.DirectionSwitches + 1) / 2; tot.BottomUpScanned <= episodes*n {
+		t.Fatalf("swept %d vertices over %d bottom-up episodes of n=%d: no sweep restarted",
+			tot.BottomUpScanned, episodes, n)
+	}
+	for name, run := range drivers() {
+		for _, stealOne := range []bool{false, true} {
+			for _, p := range []int{2, 4, 8} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					parent, _, err := run(g, Options{NumProcs: p, Seed: seed, StealOne: stealOne})
+					if err != nil {
+						t.Fatalf("%s stealOne=%v p=%d seed=%d: %v", name, stealOne, p, seed, err)
+					}
+					if err := verify.Forest(g, parent); err != nil {
+						t.Fatalf("%s stealOne=%v p=%d seed=%d: %v", name, stealOne, p, seed, err)
+					}
+					if got := numRoots(parent); got != wantComps {
+						t.Fatalf("%s stealOne=%v p=%d seed=%d: %d roots, want %d",
+							name, stealOne, p, seed, got, wantComps)
+					}
+				}
 			}
 		}
 	}

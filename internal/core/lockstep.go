@@ -258,7 +258,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 					start := t.buCursor.Add(buChunk) - buChunk
 					probe.NonContig(1) // shared sweep-cursor fetch-add
 					if start >= int64(t.n) {
-						t.buSweepEnd(workers[tid])
+						t.buSweepEnd(tid, workers[tid])
 						continue
 					}
 					hi := min(int(start)+buChunk, t.n)

@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces a canonical CSR
@@ -61,24 +62,21 @@ func (b *Builder) Grow(extra int) VID {
 // may continue to accumulate edges for a later Build.
 func (b *Builder) Build() *Graph {
 	// Sort canonical edges to dedup.
-	es := make([]Edge, len(b.edges))
-	copy(es, b.edges)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
+	es := slices.Clone(b.edges)
+	slices.SortFunc(es, func(x, y Edge) int {
+		if c := cmp.Compare(x.U, y.U); c != 0 {
+			return c
 		}
-		return es[i].V < es[j].V
+		return cmp.Compare(x.V, y.V)
 	})
-	uniq := es[:0]
-	for i, e := range es {
-		if i == 0 || e != es[i-1] {
-			uniq = append(uniq, e)
-		}
-	}
-	return fromCanonicalEdges(b.n, uniq)
+	return fromCanonicalEdges(b.n, slices.Compact(es))
 }
 
-// fromCanonicalEdges builds CSR from deduplicated canonical (U<V) edges.
+// fromCanonicalEdges builds CSR from deduplicated canonical (U<V) edges
+// in (U,V)-sorted order. Each list is filled with its smaller neighbours
+// first, in one pass (they arrive in U order), and its larger ones
+// second, in another (they arrive in V order), so every list comes out
+// sorted without a per-vertex sort.
 func fromCanonicalEdges(n int, es []Edge) *Graph {
 	offs := make([]int64, n+1)
 	for _, e := range es {
@@ -92,20 +90,14 @@ func fromCanonicalEdges(n int, es []Edge) *Graph {
 	next := make([]int64, n)
 	copy(next, offs[:n])
 	for _, e := range es {
-		adj[next[e.U]] = e.V
-		next[e.U]++
 		adj[next[e.V]] = e.U
 		next[e.V]++
 	}
-	g := &Graph{Offs: offs, Adj: adj}
-	// Neighbor lists need sorting: edges arrive in (U,V)-sorted order, so
-	// each U's list of larger neighbors is sorted, but smaller neighbors
-	// are appended afterward in U order — merge by a per-vertex sort.
-	for v := 0; v < n; v++ {
-		nb := adj[offs[v]:offs[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+	for _, e := range es {
+		adj[next[e.U]] = e.V
+		next[e.U]++
 	}
-	return g
+	return &Graph{Offs: offs, Adj: adj}
 }
 
 // FromEdges builds a canonical graph with n vertices from an arbitrary

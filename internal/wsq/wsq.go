@@ -74,6 +74,17 @@ func (q *StealHalf) Reset() {
 	q.mu.Unlock()
 }
 
+// Clear empties the queue in the middle of a run. It takes the queue
+// lock, so it is safe while the owner pushes and pops and thieves steal:
+// each of them sees the queue either before or after the clear. Unlike
+// Reset it keeps the high-water mark, which still describes the run.
+func (q *StealHalf) Clear() {
+	q.mu.Lock()
+	q.head, q.tail = 0, 0
+	q.size.Store(0)
+	q.mu.Unlock()
+}
+
 // Cap returns the current buffer capacity (for provisioning checks).
 func (q *StealHalf) Cap() int {
 	q.mu.Lock()
@@ -242,17 +253,21 @@ type ChaseLev struct {
 // with it off (the default) HighWater reports 0.
 func (d *ChaseLev) TrackHighWater(on bool) { d.track = on }
 
+// clRing is the deque's circular buffer. Its slots are atomic: a thief
+// may read a slot the owner is overwriting after a wrap (its CAS on top
+// then fails and the value is discarded), which is a data race on plain
+// memory.
 type clRing struct {
 	mask int64
-	buf  []int32
+	buf  []atomic.Int32
 }
 
 func newCLRing(capacity int64) *clRing {
-	return &clRing{mask: capacity - 1, buf: make([]int32, capacity)}
+	return &clRing{mask: capacity - 1, buf: make([]atomic.Int32, capacity)}
 }
 
-func (r *clRing) get(i int64) int32    { return r.buf[i&r.mask] }
-func (r *clRing) put(i int64, v int32) { r.buf[i&r.mask] = v }
+func (r *clRing) get(i int64) int32    { return r.buf[i&r.mask].Load() }
+func (r *clRing) put(i int64, v int32) { r.buf[i&r.mask].Store(v) }
 func (r *clRing) grow(b, t int64) *clRing {
 	nr := newCLRing((r.mask + 1) * 2)
 	for i := t; i < b; i++ {
@@ -325,6 +340,15 @@ func (d *ChaseLev) Pop() (int32, bool) {
 		return v, true
 	}
 	return 0, false
+}
+
+// Clear empties the deque from any thread by stealing every element,
+// so it is safe while the owner pushes and pops and other thieves steal.
+// An element the owner pushes during the clear may be removed too.
+func (d *ChaseLev) Clear() {
+	for d.Len() > 0 {
+		d.Steal()
+	}
 }
 
 // Steal removes and returns the top element. Any thread.
