@@ -33,7 +33,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		algName  = fs.String("alg", "workstealing", "parallel algorithm for the Fig. 3/4 experiments: workstealing or spanuf (spanuf substitutes the CAS-hook sweep and skips the traversal's shape checks — used to pin the spanuf wall-clock baseline)")
 		dirName  = fs.String("direction", "auto", "traversal direction policy for the work-stealing runs: auto or topdown (the direction/layout ablation pins its own)")
 		layName  = fs.String("layout", "wide", "CSR layout for the work-stealing runs: wide or compact (the direction/layout ablation pins its own)")
-		shards   = fs.Int("shards", 0, "shard count for the work-stealing runs: 0 or 1 = single team (the shard ablation pins its own)")
 		metrics  = fs.String("metrics", "", "write per-worker metrics JSON (one report per instrumented measurement and repetition) to this path")
 		trace    = fs.String("trace", "", "write event-trace JSON for the instrumented measurements to this path")
 		traceCap = fs.Int("tracecap", 1<<14, "per-run event ring-buffer capacity for -trace")
@@ -71,7 +70,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		ChunkSize:   *chunk,
 		Direction:   dir,
 		Layout:      lay,
-		Shards:      *shards,
 	}
 	switch *algName {
 	case "workstealing":

@@ -42,7 +42,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		chunkPol  = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
 		direction = fs.String("direction", "auto", "traversal direction policy for the work-stealing algorithm: auto (top-down/bottom-up switching) or topdown (pure push)")
 		layout    = fs.String("layout", "wide", "CSR layout for the work-stealing hot path: wide (int64 offsets) or compact (uint32 arena)")
-		shards    = fs.Int("shards", 0, "shard count for the work-stealing algorithm: partition the CSR into contiguous vertex ranges, run one team per shard, stitch the forests (0 or 1 = single team; requires -fallback 0 when > 1)")
 		fallback  = fs.Int("fallback", 0, "idle-detection threshold (0 disables the SV fallback)")
 		model     = fs.Bool("model", false, "report Helman-JáJá modeled cost (E4500 profile)")
 		noverify  = fs.Bool("noverify", false, "skip result verification")
@@ -116,7 +115,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			ChunkSize:         *chunk,
 			Direction:         dir,
 			Layout:            lay,
-			Shards:            *shards,
 			Verify:            !*noverify,
 			ValidateInput:     *validate,
 			ChaosSeed:         *chaosSeed,
@@ -200,7 +198,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			"chunkpolicy": policy.String(),
 			"direction":   dir.String(),
 			"layout":      lay.String(),
-			"shards":      fmt.Sprint(max(1, *shards)),
 		}
 		rep := rec.NewReport(label, meta)
 		rep.ElapsedNS = recElapsed.Nanoseconds()

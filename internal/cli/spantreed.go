@@ -84,7 +84,6 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		warmups  = fs.Int("warmups", 0, "warmup runs per session at registration (0 = default)")
 		dirName  = fs.String("direction", "auto", "traversal direction policy for pooled sessions: auto or topdown")
 		layName  = fs.String("layout", "auto", "CSR layout policy for pooled sessions: auto (compact when the graph fits uint32), wide, or compact")
-		shards   = fs.Int("shards", 0, "shard policy for pooled work-stealing sessions: 0 picks per graph (one shard per 256Ki vertices, capped at 8), a positive count forces it (1 = single team)")
 		algName  = fs.String("alg", "workstealing", "pooled algorithm: workstealing or spanuf")
 		stall    = fs.Duration("stall-budget", 0, "stuck-run watchdog: abort a run in which no worker advances for this long with a typed 503 (0 disables)")
 		journal  = fs.String("journal", "", "crash-safe registry journal file: replayed on boot, fsynced on every graph mutation (empty disables)")
@@ -124,7 +123,6 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		Warmups:     *warmups,
 		Direction:   dir,
 		Layout:      *layName,
-		Shards:      *shards,
 		Algorithm:   alg,
 		StallBudget: *stall,
 		CoolDown:    *coolDown,

@@ -87,19 +87,6 @@ func TestChaosStressStealOne(t *testing.T) {
 	})
 }
 
-// TestChaosStressSharded drives the sharded engine — shard teams in
-// both wave regimes, the quiescence reseed path, and the stitch phase —
-// through the same >= 50 seeded perturbation schedules. The shard count
-// varies with the seed so the sweep crosses S <= p and S > p, shard
-// counts that fragment the disconnected graph, and counts that do not
-// divide n.
-func TestChaosStressSharded(t *testing.T) {
-	runStress(t, "sharded", func(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
-		o.Shards = 2 + int(o.Seed%6)
-		return SpanningForest(g, o)
-	})
-}
-
 // TestChaosAimedPanicStillYieldsValidTree fires an InjectedPanic at a
 // chosen chaos point of a chosen worker and checks the graceful
 // degradation: a valid forest plus the structured PanicError in Stats.

@@ -125,21 +125,6 @@ type Options struct {
 	// mirror, halving the hot path's memory footprint per offset.
 	Layout Layout
 
-	// Shards partitions the execution: the vertex range is split into
-	// this many contiguous shards (graph.PartitionCSR, with the
-	// generator-aware cut policy picked from the graph's name), each
-	// traversed by its own team of workers over a compact per-shard CSR32
-	// view, and the per-shard forests are joined through the partition's
-	// boundary edges by a union-find stitch pass (spanuf.Stitch). 0 or 1
-	// runs the single-team path — the shards=1 special case of the same
-	// engine. NumProcs is the TOTAL worker budget: with Shards <= NumProcs
-	// the teams split it, with Shards > NumProcs single-worker teams run
-	// in sequential waves of NumProcs. Shards > 1 requires
-	// FallbackThreshold == 0 (the stitch pass needs completed shard
-	// forests; the SV fallback escape hatch is a single-team remedy) and
-	// ignores Layout (shard views are always compact).
-	Shards int
-
 	// Deg2Eliminate enables the degree-2 vertex elimination preprocessing
 	// step described at the end of the paper's Section 2.
 	Deg2Eliminate bool
@@ -291,6 +276,14 @@ func (s *Stats) MaxLoadImbalance() float64 {
 // array (parent[v] == graph.None marks each component's root) plus run
 // statistics.
 func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
+	return drive(g, opt, run)
+}
+
+// drive validates opt, applies its defaults and runs driver (run or
+// runLockstep) on g. With Deg2Eliminate set it reduces the graph,
+// solves the reduced instance, and expands the forest back, charging
+// the (parallelizable, but here sequential) reduction to processor 0.
+func drive(g *graph.Graph, opt Options, driver func(*graph.Graph, Options) ([]graph.VID, Stats, error)) ([]graph.VID, Stats, error) {
 	if opt.NumProcs < 1 {
 		return nil, Stats{}, fmt.Errorf("core: NumProcs = %d, need >= 1", opt.NumProcs)
 	}
@@ -298,29 +291,17 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("core: Obs has %d worker slots, need >= %d",
 			opt.Obs.NumWorkers(), opt.NumProcs)
 	}
-	if opt.Shards > 1 && opt.FallbackThreshold > 0 {
-		return nil, Stats{}, errShardsFallback
-	}
 	o := opt.withDefaults()
-
-	if o.Deg2Eliminate {
-		return runWithDeg2(g, o)
+	if !o.Deg2Eliminate {
+		return driver(g, o)
 	}
-	return run(g, o)
-}
-
-// runWithDeg2 reduces the graph, solves the reduced instance, and
-// expands the forest back, charging the (parallelizable, but here
-// sequential) reduction to processor 0.
-func runWithDeg2(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 	red := graph.EliminateDegree2(g)
 	probe0 := o.Model.Probe(0)
 	// The reduction scans every vertex and edge once.
 	probe0.NonContig(int64(g.NumVertices()))
 	probe0.Contig(int64(len(g.Adj)))
-	inner := o
-	inner.Deg2Eliminate = false
-	redParent, stats, err := run(red.Reduced, inner)
+	o.Deg2Eliminate = false
+	redParent, stats, err := driver(red.Reduced, o)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -409,29 +390,19 @@ func (c chaseLevQueue) Len() int       { return c.q.Len() }
 func (c chaseLevQueue) Clear()         { c.q.Clear() }
 func (c chaseLevQueue) HighWater() int { return c.q.HighWater() }
 
-// traversal holds the shared state of the work-stealing phase of one
-// team. A single-team run has one traversal covering the whole graph; a
-// sharded run (engine.go) has one per shard, all writing into the same
-// shared parent array over disjoint vertex ranges.
+// traversal holds the state of one run: the team's shared parent
+// array, work queues and quiescence counters, plus the run-wide
+// recorder, cost model, stop flag and watchdog. The drivers in
+// engine.go, lockstep.go and workspace.go run it.
 type traversal struct {
 	g *graph.Graph
 	// cg is the compact uint32 mirror of g, non-nil exactly when
 	// Options.Layout is LayoutCompact: the hot loops read it, while the
 	// cold paths (stub walk, fallback, quiescence, span reporting,
-	// verification) always keep the wide g. Shard traversals have g ==
-	// nil and cg set to the shard's intra-shard view: offsets indexed by
-	// the local id v-lo, adjacency ids global.
+	// verification) always keep the wide g.
 	cg *graph.CSR32
 	o  Options
 	n  int
-	// lo is the first vertex of this traversal's range [lo, lo+n): 0 for
-	// a whole-graph traversal, the shard's lower bound for a shard team.
-	// parent and span are indexed by GLOBAL vertex id throughout.
-	lo graph.VID
-	// tidBase maps this team's local worker ids onto the run's global
-	// processor slots: local tid uses recorder slot and model processor
-	// tidBase+tid. 0 for a whole-graph traversal.
-	tidBase int
 	// parent is the fused claim array: graph.None means unclaimed, any
 	// other value is the claimed parent. Roots hold a self-parent
 	// sentinel (parent[v] == v) while the traversal runs so they stay
@@ -455,7 +426,13 @@ type traversal struct {
 	// minStealLen(p): the constant floor of 2 scaled by p/2 at high p.
 	minSteal int
 
+	// visited, buCursor and buClaims are written by every worker (at each
+	// chunk flush, at each sweep quantum); the pads keep them on cache
+	// lines of their own, away from the read-mostly fields the hot loop
+	// loads on every vertex.
+	_       [7]int64
 	visited atomic.Int64 // claimed vertices; == n means the forest is done
+	_       [7]int64
 	cursor  atomic.Int64 // next vertex the quiescence protocol inspects
 
 	// fail is the per-victim failed-steal signal. Thieves whose full
@@ -479,16 +456,20 @@ type traversal struct {
 	dirOpt   bool
 	buAlpha  int
 	phase    atomic.Int32
+	_        [7]int64
 	buCursor atomic.Int64
 	buClaims atomic.Int64
+	_        [6]int64
 	buMu     sync.Mutex
 
 	// cancel is the run's stop flag (never nil: newTraversal substitutes
 	// a private flag when the caller passed none, so panic isolation
 	// always has somewhere to record its cause). inj is the chaos fault
-	// injector (nil injects nothing). wd is the engine's stuck-run
-	// watchdog (nil unless Options.StallBudget > 0); workers beat their
-	// global slot tidBase+tid whenever they advance.
+	// injector (nil injects nothing). wd is the stuck-run watchdog (nil
+	// unless Options.StallBudget > 0); workers beat their slot whenever
+	// they advance. One-shot drivers arm it around their traversal step
+	// and close it when the run ends; a Workspace keeps it parked for its
+	// lifetime and rearms it per Run.
 	cancel *fault.Flag
 	inj    *chaos.Injector
 	wd     *fault.Watchdog
@@ -509,8 +490,13 @@ func newTraversal(g *graph.Graph, o Options) (*traversal, error) {
 
 // newTraversalQ is newTraversal with an optional queue supplier (the
 // Workspace path injects its pooled queues; nil allocates one-shot
-// queues).
-func newTraversalQ(g *graph.Graph, o Options, mk func(n int) workQueue) (*traversal, error) {
+// queues). o has withDefaults applied.
+func newTraversalQ(g *graph.Graph, o Options, mk func() workQueue) (*traversal, error) {
+	// Modeled chaos runs charge injected perturbations into the same
+	// model as the run itself (nil-safe on both sides, no-op in default
+	// builds): stalls land as idle time on the stalled processor's T_C,
+	// steal vetoes as a failed steal's fruitless poll.
+	o.Chaos.AttachModel(o.Model)
 	n := g.NumVertices()
 	rec := o.Obs
 	if rec == nil {
@@ -546,19 +532,21 @@ func newTraversalQ(g *graph.Graph, o Options, mk func(n int) workQueue) (*traver
 	if o.Model != nil {
 		t.span = make([]int64, n)
 	}
+	if o.StallBudget > 0 {
+		t.wd = fault.NewWatchdog(o.NumProcs)
+	}
 	t.initQueues(mk)
 	return t, nil
 }
 
 // initQueues builds the team's work queues. mk, when non-nil, supplies
 // externally pooled queues (the Workspace path, one call per worker in
-// shard-major tid order, handed the team range's vertex count);
-// otherwise one-shot queues sized for the team's share of its range are
-// allocated.
-func (t *traversal) initQueues(mk func(n int) workQueue) {
+// tid order); otherwise one-shot queues sized for each worker's share
+// of the graph are allocated.
+func (t *traversal) initQueues(mk func() workQueue) {
 	if mk != nil {
 		for i := range t.queues {
-			t.queues[i] = mk(t.n)
+			t.queues[i] = mk()
 		}
 		return
 	}
@@ -602,28 +590,26 @@ func (t *traversal) claimSeq(w, p graph.VID) bool {
 }
 
 // normalizeRoots rewrites the self-parent root sentinel of the fused
-// claim array back to graph.None over this traversal's range,
-// restoring the public forest representation. One streaming pass,
-// charged to the team's first processor.
+// claim array back to graph.None, restoring the public forest
+// representation. One streaming pass, charged to processor 0.
 func (t *traversal) normalizeRoots() {
-	for v := t.lo; v < t.lo+graph.VID(t.n); v++ {
-		if t.parent[v] == v {
+	for v := range t.parent {
+		if t.parent[v] == graph.VID(v) {
 			t.parent[v] = graph.None
 		}
 	}
-	t.o.Model.Probe(t.tidBase).Contig(int64(t.n))
+	t.o.Model.Probe(0).Contig(int64(t.n))
 }
 
-// run executes both steps of the algorithm on g through the engine
-// layer: a single-team run is the shards=1 special case of the same
-// code path (see engine.go).
+// run executes both steps of the algorithm on g with one-shot worker
+// goroutines (see engine.go).
 func run(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
-	e, err := newEngine(g, o, nil)
+	t, err := newTraversal(g, o)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer e.wd.Close() // one-shot engine: the run owns the watchdog
-	return e.run()
+	defer t.wd.Close() // one-shot run: it owns the watchdog
+	return t.run()
 }
 
 // recoverWorker records an isolated worker panic: per-worker counter and
@@ -631,11 +617,11 @@ func run(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 // the recorder's single-writer contract), then the run flag trips with
 // the structured PanicError so the teammates drain at their next poll.
 func (t *traversal) recoverWorker(tid int, r any) {
-	ow := t.rec.Worker(t.tidBase + tid)
+	ow := t.rec.Worker(tid)
 	ow.Incr(obs.PanicsRecovered)
 	ow.Trace(obs.EvPanic, 0, 0)
 	t.cancel.TripPanic(&fault.PanicError{
-		Worker: t.tidBase + tid, Value: r, Stack: debug.Stack(),
+		Worker: tid, Value: r, Stack: debug.Stack(),
 	})
 }
 
@@ -695,10 +681,10 @@ func (t *traversal) resetWorkerState(tid int, ws *workerState) {
 	ws.stealBuf = ws.stealBuf[:0]
 	var base xrand.Rand
 	base.Reseed(t.o.Seed)
-	ws.r.ReseedSplit(&base, uint64(t.tidBase+tid)+1)
-	ws.probe = t.o.Model.Probe(t.tidBase + tid)
+	ws.r.ReseedSplit(&base, uint64(tid)+1)
+	ws.probe = t.o.Model.Probe(tid)
 	if ws.ow == nil {
-		ws.ow = t.rec.Worker(t.tidBase + tid)
+		ws.ow = t.rec.Worker(tid)
 	}
 	ws.lc = obs.Local{}
 	ws.pend = 0
@@ -749,7 +735,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 		if h := t.o.testHook; h != nil {
 			h(tid)
 		}
-		t.inj.Visit(t.tidBase+tid, chaos.PointDrain)
+		t.inj.Visit(tid, chaos.PointDrain)
 		if t.dirOpt && t.phase.Load() == phaseBottomUp {
 			// Bottom-up phase: scan one sweep quantum instead of draining
 			// the queue (the queued frontier waits for the return to
@@ -757,7 +743,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			// advances the shared cursor or ends the sweep, so it counts
 			// as watchdog progress.
 			t.bottomUpQuantum(tid, ws, myQ)
-			t.wd.Beat(t.tidBase + tid)
+			t.wd.Beat(tid)
 			fruitless = 0
 			continue
 		}
@@ -766,7 +752,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			// The progress heartbeat rides the chunk boundary the loop
 			// already pays for, and only fires when the drain obtained
 			// work — a team spinning idle reads as stalled.
-			t.wd.Beat(t.tidBase + tid)
+			t.wd.Beat(tid)
 			ws.probe.NonContig(2) // one locked chunk dequeue
 			ws.lc.Incr(obs.ChunkDrains)
 			ws.lc.Add(obs.DrainedVertices, int64(nPop))
@@ -820,7 +806,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 		}
 		if !t.o.NoSteal {
 			if w, ok := t.trySteal(tid, &ws.r, myQ, &ws.stealBuf, ws.probe, ws.ow); ok {
-				t.wd.Beat(t.tidBase + tid)
+				t.wd.Beat(tid)
 				// Process one stolen vertex immediately: a thief that only
 				// re-queued its loot could lose it to another thief before
 				// ever popping, livelocking a one-element frontier.
@@ -850,7 +836,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 // deterministic stand-in for a CAS retry storm.
 func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 	out *[]int32, lc *obs.Local, pend *int64) {
-	t.inj.Visit(t.tidBase+tid, chaos.PointClaim)
+	t.inj.Visit(tid, chaos.PointClaim)
 	lc.Incr(obs.VerticesClaimed)
 	if t.cg != nil {
 		t.processCompact(v, probe, out, lc, pend)
@@ -893,29 +879,18 @@ func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 // CAS for one child.
 func procCostNC(deg int) int64 { return 4 + int64(deg) }
 
-// spanMax returns the traversal's dependency span over its range: the
-// maximum claim-completion time in non-contiguous units, which the
-// engine folds across concurrent teams and reports to the cost model.
-// It runs after the final join and before normalizeRoots, so claimed
-// vertices (roots included, via the self-parent sentinel) are exactly
-// those with parent != graph.None.
+// spanMax returns the traversal's dependency span: the maximum
+// claim-completion time in non-contiguous units, which the drivers
+// report to the cost model. It runs after the final join and before
+// normalizeRoots, so claimed vertices (roots included, via the
+// self-parent sentinel) are exactly those with parent != graph.None.
 func (t *traversal) spanMax() int64 {
-	if t.span == nil {
-		return 0
-	}
 	var max int64
-	for v := 0; v < t.n; v++ {
-		gv := t.lo + graph.VID(v)
-		if t.parent[gv] == graph.None {
+	for v, pv := range t.parent {
+		if pv == graph.None {
 			continue
 		}
-		var deg int
-		if t.g != nil {
-			deg = t.g.Degree(gv)
-		} else {
-			deg = t.cg.Degree(graph.VID(v))
-		}
-		if s := t.span[gv] + procCostNC(deg); s > max {
+		if s := t.span[v] + procCostNC(t.g.Degree(graph.VID(v))); s > max {
 			max = s
 		}
 	}
@@ -941,12 +916,12 @@ func (t *traversal) trySteal(tid int, r *xrand.Rand, myQ workQueue,
 	if p == 1 {
 		return 0, false
 	}
-	t.inj.Visit(t.tidBase+tid, chaos.PointSteal)
+	t.inj.Visit(tid, chaos.PointSteal)
 	ow.Incr(obs.StealAttempts)
 	// A vetoed attempt fails before scanning any victim — the injected
 	// delayed/failed-steal fault; the thief falls through to the idle
 	// protocol and retries, so no work is lost, only deferred.
-	if t.inj.VetoSteal(t.tidBase + tid) {
+	if t.inj.VetoSteal(tid) {
 		ow.Incr(obs.StealFailures)
 		return 0, false
 	}
@@ -1025,7 +1000,7 @@ func (t *traversal) stealFrom(victim int, myQ workQueue, stealBuf *[]int32,
 // next uncolored vertex as a fresh root — that is how disconnected
 // inputs become spanning forests with exactly one root per component.
 func (t *traversal) idleOnce(tid int, myQ workQueue, fruitless int, probe *smpmodel.Probe, ow *obs.Worker) bool {
-	t.inj.Visit(t.tidBase+tid, chaos.PointIdle)
+	t.inj.Visit(tid, chaos.PointIdle)
 	t.sleepers.Add(1)
 	defer t.sleepers.Add(-1)
 	if t.visited.Load() >= int64(t.n) || t.abort.Load() || t.cancel.Tripped() {
@@ -1085,7 +1060,7 @@ func (t *traversal) trySeedNextComponent(tid int, myQ workQueue, probe *smpmodel
 	if !t.claimSeq(v, graph.None) {
 		return false // unreachable at true quiescence, kept for safety
 	}
-	ow := t.rec.Worker(t.tidBase + tid)
+	ow := t.rec.Worker(tid)
 	ow.Incr(obs.SeededComponents)
 	ow.Trace(obs.EvComponentSeed, int64(v), 0)
 	myQ.Push(int32(v))
@@ -1093,7 +1068,7 @@ func (t *traversal) trySeedNextComponent(tid int, myQ workQueue, probe *smpmodel
 }
 
 // nextUncolored advances the quiescence cursor to the next uncolored
-// vertex of this traversal's range. Its callers are serialized (seedMu
+// vertex. Its callers are serialized (seedMu
 // in the concurrent driver, the single goroutine of the lockstep one),
 // so it scans with a local index and publishes the cursor with one
 // store: a fetch-add per inspected vertex would pay ~n serialized
@@ -1102,9 +1077,9 @@ func (t *traversal) nextUncolored(probe *smpmodel.Probe) (graph.VID, bool) {
 	i := t.cursor.Load()
 	for ; i < int64(t.n); i++ {
 		probe.NonContig(1)
-		if atomic.LoadInt32(&t.parent[t.lo+graph.VID(i)]) == graph.None {
+		if atomic.LoadInt32(&t.parent[i]) == graph.None {
 			t.cursor.Store(i + 1)
-			return t.lo + graph.VID(i), true
+			return graph.VID(i), true
 		}
 	}
 	t.cursor.Store(i)

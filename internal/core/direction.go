@@ -174,7 +174,7 @@ func (t *traversal) buSweepEnd(tid int, ow *obs.Worker) {
 		// Chaos stalls here hold the sweep boundary open: pushes from
 		// in-flight quanta and stale top-down chunks land between the
 		// clear and the reset.
-		t.inj.Visit(t.tidBase+tid, chaos.PointDrain)
+		t.inj.Visit(tid, chaos.PointDrain)
 		t.buClaims.Store(0)
 		t.buCursor.Store(0)
 		return
@@ -223,7 +223,7 @@ func (t *traversal) scanBottomUp(lo, hi int, probe *smpmodel.Probe,
 		return t.scanBottomUpCompact(lo, hi, probe, lc, pend, claims)
 	}
 	for v := lo; v < hi; v++ {
-		gv := t.lo + graph.VID(v) // sweep positions are range-local
+		gv := graph.VID(v)
 		if atomic.LoadInt32(&t.parent[gv]) != graph.None {
 			continue
 		}
@@ -266,11 +266,11 @@ func (t *traversal) scanBottomUp(lo, hi int, probe *smpmodel.Probe,
 func (t *traversal) scanBottomUpCompact(lo, hi int, probe *smpmodel.Probe,
 	lc *obs.Local, pend *int64, claims []int32) []int32 {
 	for v := lo; v < hi; v++ {
-		gv := t.lo + graph.VID(v) // sweep positions are range-local
+		gv := graph.VID(v)
 		if atomic.LoadInt32(&t.parent[gv]) != graph.None {
 			continue
 		}
-		nb := t.cg.Neighbors32(graph.VID(v))
+		nb := t.cg.Neighbors32(gv)
 		probe.NonContigC(1) // load adjacency offset (uint32 arena)
 		scanned := len(nb)
 		for i, w := range nb {

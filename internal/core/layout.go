@@ -55,9 +55,7 @@ func ParseLayout(s string) (Layout, error) {
 // access classes.
 func (t *traversal) processCompact(v graph.VID, probe *smpmodel.Probe,
 	out *[]int32, lc *obs.Local, pend *int64) {
-	// The compact view's offsets are indexed by local id (v - lo, a no-op
-	// for whole-graph traversals); its adjacency ids are global.
-	nb := t.cg.Neighbors32(v - t.lo)
+	nb := t.cg.Neighbors32(v)
 	probe.NonContigC(1) // load adjacency offset (uint32 arena)
 	probe.ContigC(int64(len(nb)))
 	lc.Add(obs.EdgesScanned, int64(len(nb)))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"spantree/internal/graph"
 	"spantree/internal/obs"
 	"spantree/internal/sched"
@@ -25,10 +23,6 @@ import (
 // The concurrent SpanningForest remains the production entry point and
 // the one exercised for correctness under real races.
 //
-// Sharded runs (Options.Shards > 1) drive their teams shard by shard,
-// wave by wave — deterministic by construction, since the teams'
-// vertex ranges are disjoint and the stitch pass is sequential.
-//
 // The fallback detection maps to lockstep as follows: if
 // FallbackThreshold > 0 and at least that many processors idle for
 // idlePatienceRounds consecutive rounds while the traversal is
@@ -36,37 +30,7 @@ import (
 // same condition the concurrent version detects with sleeping
 // processors.
 func LockstepForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
-	if opt.NumProcs < 1 {
-		return nil, Stats{}, fmt.Errorf("core: NumProcs = %d, need >= 1", opt.NumProcs)
-	}
-	if opt.Obs != nil && opt.Obs.NumWorkers() < opt.NumProcs {
-		return nil, Stats{}, fmt.Errorf("core: Obs has %d worker slots, need >= %d",
-			opt.Obs.NumWorkers(), opt.NumProcs)
-	}
-	if opt.Shards > 1 && opt.FallbackThreshold > 0 {
-		return nil, Stats{}, errShardsFallback
-	}
-	o := opt.withDefaults()
-	if o.Deg2Eliminate {
-		red := graph.EliminateDegree2(g)
-		probe0 := o.Model.Probe(0)
-		probe0.NonContig(int64(g.NumVertices()))
-		probe0.Contig(int64(len(g.Adj)))
-		inner := o
-		inner.Deg2Eliminate = false
-		redParent, stats, err := LockstepForest(red.Reduced, inner)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Deg2Eliminated = red.NumEliminated()
-		parent, err := red.ExpandForest(redParent)
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: expanding degree-2 reduction: %w", err)
-		}
-		probe0.NonContig(int64(red.NumEliminated()))
-		return parent, stats, nil
-	}
-	return runLockstep(g, o)
+	return drive(g, opt, runLockstep)
 }
 
 // idlePatienceRounds is the lockstep analogue of the concurrent
@@ -77,103 +41,41 @@ func LockstepForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 const idlePatienceRounds = 4
 
 func runLockstep(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
-	e, err := newEngine(g, o, nil)
+	t, err := newTraversal(g, o)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer e.wd.Close() // one-shot engine: the run owns the watchdog
-	return e.runLockstep()
-}
-
-// runLockstep is the engine's deterministic driver: the same stub and
-// stitch steps as run(), with every wave's teams driven sequentially in
-// round-robin lockstep on the calling goroutine.
-func (e *engine) runLockstep() ([]graph.VID, Stats, error) {
-	o := e.o
+	defer t.wd.Close() // one-shot run: it owns the watchdog
 	var stats Stats
 	stats.VerticesPerProc = make([]int64, o.NumProcs)
 	stats.EdgesPerProc = make([]int64, o.NumProcs)
-	if len(e.parent) == 0 {
-		return e.parent, stats, nil
+	if t.n == 0 {
+		return t.parent, stats, nil
 	}
-
-	// Step 1: stub spanning trees (identical to the concurrent engine).
+	// Step 1: the stub spanning tree, identical to the concurrent driver.
 	var rootRand xrand.Rand
-	probe0 := o.Model.Probe(0)
-	for si, t := range e.ts {
-		e.stubRandInto(&rootRand, o.Seed, si)
-		var seeds []graph.VID
-		if o.NoStub {
-			s := t.lo + graph.VID(rootRand.Intn(t.n))
-			t.claimSeq(s, graph.None)
-			seeds = []graph.VID{s}
-		} else {
-			seeds = stubSpanningTree(t, &rootRand, probe0, nil)
-		}
-		stats.StubSize += len(seeds)
-		for i, s := range seeds {
-			t.queues[i%t.o.NumProcs].Push(int32(s))
-			probe0.NonContig(1)
-			e.rec.Trace(0, obs.EvSeed, int64(s), int64(t.tidBase+i%t.o.NumProcs))
-		}
-	}
-	o.Model.AddBarriers(1)
-	e.rec.AddBarrierEpisodes(1)
-	e.rec.Trace(-1, obs.EvBarrier, 1, 0)
+	stats.StubSize = len(t.plantStub(&rootRand, o.Model.Probe(0), nil))
 
-	// Step 2: round-robin lockstep traversal, shard by shard inside each
-	// wave (sequential either way on the driving goroutine; the barrier
-	// accounting still groups shards into waves, mirroring the
-	// concurrent engine's schedule). The watchdog arms around the
-	// traversal exactly like the concurrent engine: the driver beats per
-	// processed turn, so a wedged drive (a blocking test hook, a stuck
-	// syscall) trips the same typed ErrStalled.
-	if e.wd != nil {
-		e.wd.Arm(e.cancel, e.o.StallBudget)
-		defer e.wd.Disarm()
+	// Step 2: round-robin lockstep traversal on the calling goroutine.
+	// The watchdog arms around it exactly like the concurrent driver: the
+	// lockstep loop beats per processed turn, so a wedged drive (a
+	// blocking test hook, a stuck syscall) trips the same typed
+	// ErrStalled.
+	if t.wd != nil {
+		t.wd.Arm(t.cancel, o.StallBudget)
+		defer t.wd.Disarm()
 	}
-	for _, wave := range e.waves {
-		for _, si := range wave {
-			lockstepDrive(e.ts[si], &stats)
-			if e.cancel.Tripped() {
-				break
-			}
-		}
-		o.Model.AddBarriers(1)
-		e.rec.AddBarrierEpisodes(1)
-		e.rec.Trace(-1, obs.EvBarrier, 2, 0)
-		if e.cancel.Tripped() {
-			break
-		}
-	}
-	if e.cancel.Tripped() {
-		return e.stopOutcome(&stats)
-	}
-	e.recordSpan()
-	for _, t := range e.ts {
-		t.normalizeRoots()
-	}
-	if e.part != nil {
-		e.stitchShards(probe0, e.rec.Worker(0))
-	}
-	e.finishStats(&stats)
-	if e.ts[0].abort.Load() {
-		stats.FallbackTriggered = true
-		svStats, err := e.ts[0].fallback()
-		stats.SVStats = svStats
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	return e.parent, stats, nil
+	t.lockstepDrive(&stats)
+	o.Model.AddBarriers(1)
+	t.rec.AddBarrierEpisodes(1)
+	t.rec.Trace(-1, obs.EvBarrier, 2, 0)
+	return t.finish(&stats)
 }
 
-// lockstepDrive runs one team's traversal to completion in round-robin
-// lockstep. Local worker tids map onto the global processor slots
-// tidBase+tid for the recorder, the cost model, and the RNG streams —
-// exactly the mapping the concurrent workers use, so a shards=1 drive
-// is byte-identical to the pre-engine driver.
-func lockstepDrive(t *traversal, stats *Stats) {
+// lockstepDrive runs the traversal to completion in round-robin
+// lockstep. Each tid uses the recorder slot, model processor and RNG
+// stream the concurrent worker of the same tid would.
+func (t *traversal) lockstepDrive(stats *Stats) {
 	o := t.o
 	p := o.NumProcs
 	rngs := make([]*xrand.Rand, p)
@@ -182,8 +84,8 @@ func lockstepDrive(t *traversal, stats *Stats) {
 	// in locals for the whole run and flush once before finishStats.
 	locals := make([]obs.Local, p)
 	for tid := range rngs {
-		rngs[tid] = xrand.New(o.Seed).Split(uint64(t.tidBase+tid) + 1)
-		workers[tid] = t.rec.Worker(t.tidBase + tid)
+		rngs[tid] = xrand.New(o.Seed).Split(uint64(tid) + 1)
+		workers[tid] = t.rec.Worker(tid)
 	}
 	stealBuf := make([]int32, 0, 256)
 	// out and the per-tid chunk controllers mirror the concurrent hot
@@ -218,7 +120,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 	// batch publishes immediately (the single-goroutine driver has no
 	// concurrent readers to batch against).
 	processOne := func(tid int, v graph.VID, probe *smpmodel.Probe, myQ workQueue) {
-		t.wd.Beat(t.tidBase + tid)
+		t.wd.Beat(tid)
 		out = out[:0]
 		var pend int64
 		t.process(tid, v, probe, &out, &locals[tid], &pend)
@@ -254,7 +156,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 					if h := o.testHook; h != nil {
 						h(tid)
 					}
-					probe := o.Model.Probe(t.tidBase + tid)
+					probe := o.Model.Probe(tid)
 					start := t.buCursor.Add(buChunk) - buChunk
 					probe.NonContig(1) // shared sweep-cursor fetch-add
 					if start >= int64(t.n) {
@@ -262,7 +164,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 						continue
 					}
 					hi := min(int(start)+buChunk, t.n)
-					t.wd.Beat(t.tidBase + tid)
+					t.wd.Beat(tid)
 					var pend int64
 					stealBuf = t.scanBottomUp(int(start), hi, probe, &locals[tid], &pend, stealBuf[:0])
 					if len(stealBuf) > 0 {
@@ -283,7 +185,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 				if h := o.testHook; h != nil {
 					h(tid)
 				}
-				probe := o.Model.Probe(t.tidBase + tid)
+				probe := o.Model.Probe(tid)
 				ow := workers[tid]
 				myQ := t.queues[tid]
 				if v, ok := myQ.Pop(); ok {
@@ -386,7 +288,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 				// Quiescence: every queue is empty and nobody processed a
 				// vertex this round, so the uncolored set is a union of whole
 				// components; seed the next one on a rotating processor.
-				if v, ok := t.nextUncolored(o.Model.Probe(t.tidBase)); ok {
+				if v, ok := t.nextUncolored(o.Model.Probe(0)); ok {
 					tid := seededRoots % p
 					t.claimSeq(v, graph.None)
 					seededRoots++
@@ -412,7 +314,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 					// round-based index would repeat the same residue.
 					chk := dirPolls % p
 					dirPolls++
-					if frontier, ok := t.buShouldSwitch(o.Model.Probe(t.tidBase + chk)); ok {
+					if frontier, ok := t.buShouldSwitch(o.Model.Probe(chk)); ok {
 						t.buEnter(frontier, workers[chk])
 					}
 				}

@@ -148,7 +148,7 @@ func TestWorkspaceReusableAfterPanic(t *testing.T) {
 	}
 	defer w.Close()
 	fired := false
-	w.e.ts[0].o.testHook = func(tid int) {
+	w.t.o.testHook = func(tid int) {
 		if tid == 1 && !fired {
 			fired = true
 			panic("injected")
@@ -164,7 +164,7 @@ func TestWorkspaceReusableAfterPanic(t *testing.T) {
 	if err := verify.Forest(g, parent); err != nil {
 		t.Fatalf("degraded forest: %v", err)
 	}
-	w.e.ts[0].o.testHook = nil
+	w.t.o.testHook = nil
 	w.Flag().Reset()
 	parent, st, err = w.Run(2)
 	if err != nil || st.DegradedToSeq {

@@ -43,7 +43,7 @@ type wdCtl struct {
 
 // NewWatchdog returns a watchdog for a team of `workers` virtual
 // processors with its monitor goroutine parked. The caller must Close
-// it when the owning workspace or engine is done.
+// it when the owning workspace or run is done.
 func NewWatchdog(workers int) *Watchdog {
 	if workers < 1 {
 		workers = 1

@@ -87,10 +87,6 @@ type wsConfig struct {
 	forceDirLayout bool
 	direction      core.Direction
 	layout         core.Layout
-	// forceShards overrides cfg.Shards with shards — the shard ablation
-	// pins its variants.
-	forceShards bool
-	shards      int
 	// statsOut, when non-nil, receives the run's core.Stats for
 	// ablations that check steal hit rates and controller activity. In
 	// wall-clock mode the scheduler counters (steals, attempts, chunk
@@ -162,7 +158,6 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				ChunkSize:     cfg.ChunkSize,
 				Direction:     cfg.Direction,
 				Layout:        cfg.Layout,
-				Shards:        cfg.Shards,
 			}
 			if ws.forceChunk {
 				opt.ChunkPolicy = ws.chunkPolicy
@@ -172,12 +167,8 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				opt.Direction = ws.direction
 				opt.Layout = ws.layout
 			}
-			if ws.forceShards {
-				opt.Shards = ws.shards
-			}
 			if ws.fallbackAtP {
 				opt.FallbackThreshold = maxInt(1, p-1)
-				opt.Shards = 0 // idle detection requires the unsharded path
 			}
 			var (
 				parent []graph.VID
@@ -234,14 +225,6 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 			if kind == kindWS {
 				meta["alg"] = "workstealing"
 				meta["direction"] = dir.String()
-				sh := cfg.Shards
-				if ws.forceShards {
-					sh = ws.shards
-				}
-				if ws.fallbackAtP {
-					sh = 0
-				}
-				meta["shards"] = fmt.Sprint(maxInt(1, sh))
 			} else {
 				meta["alg"] = "spanuf" // direction-free: no queues to steer
 			}

@@ -1,10 +1,11 @@
 package par
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
@@ -144,26 +145,53 @@ func TestForDynamicBackToBack(t *testing.T) {
 }
 
 // TestForDynamicStealsFromSkew pins the point of the port: with all the
-// work piled on one worker's static block (everyone else's body is a
-// no-op region), the other workers must actually steal some of it.
+// work piled on one worker's static block, the other workers must
+// actually steal some of it. The skew is enforced by a handshake rather
+// than by timing: worker 0 blocks on the first index of its block until
+// another worker has executed an index from that block, and every index
+// outside block 0 waits until worker 0 has reached that first index, so
+// no thief can run dry and exit before worker 0 has published its range.
+// While worker 0 is blocked its slot holds everything but its first
+// chunk, which is the only stealable range left once the other blocks
+// are done. The waits are bounded only as a hang guard.
 func TestForDynamicStealsFromSkew(t *testing.T) {
-	const n = 1 << 14
-	team := NewTeam(4, nil)
+	const (
+		n, p  = 1 << 14, 4
+		guard = 10 * time.Second
+	)
+	lo, hi := BlockRange(n, p, 0)
+	started := make(chan struct{}) // worker 0 has reached index lo
+	migrated := make(chan struct{})
+	var migrateOnce sync.Once
+	var hung atomic.Bool
+	wait := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(guard):
+			hung.Store(true)
+		}
+	}
 	var who [n]int32
+	team := NewTeam(p, nil)
 	team.Run(func(c *Ctx) {
 		c.ForDynamic(n, func(i int) {
-			// Skew: only indices in worker 0's static block cost
-			// anything. The Gosched makes the skew observable even on a
-			// single-CPU box, where goroutines interleave only at yield
-			// points — without it the loaded worker can run its whole
-			// block before any thief gets scheduled.
-			if lo, hi := BlockRange(n, 4, 0); i >= lo && i < hi {
-				runtime.Gosched()
+			switch {
+			case i == lo:
+				close(started)
+				wait(migrated)
+			case i > lo && i < hi:
+				if c.TID() != 0 {
+					migrateOnce.Do(func() { close(migrated) })
+				}
+			default:
+				wait(started)
 			}
 			atomic.StoreInt32(&who[i], int32(c.TID())+1)
 		})
 	})
-	lo, hi := BlockRange(n, 4, 0)
+	if hung.Load() {
+		t.Fatalf("handshake did not complete within %v", guard)
+	}
 	stolen := 0
 	for i := lo; i < hi; i++ {
 		if who[i] == 0 {

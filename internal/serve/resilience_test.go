@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -174,28 +175,40 @@ func TestLadderStepDownAndRecovery(t *testing.T) {
 	}
 }
 
-// TestLadderOptions pins what each rung strips: sharding first, then
-// half the workers, then all parallelism.
+// TestLadderOptions pins what each rung strips: half the workers, then
+// all parallelism.
 func TestLadderOptions(t *testing.T) {
 	e := &entry{}
 	e.base.NumProcs = 4
-	e.base.Shards = 8
-	if o := e.optionsFor(0); o.Shards != 8 || o.NumProcs != 4 {
-		t.Fatalf("rung 0 options: %+v", o)
-	}
-	if o := e.optionsFor(1); o.Shards != 1 || o.NumProcs != 4 {
-		t.Fatalf("rung 1 options: %+v", o)
-	}
-	if o := e.optionsFor(2); o.Shards != 1 || o.NumProcs != 2 {
-		t.Fatalf("rung 2 options: %+v", o)
-	}
-	if o := e.optionsFor(3); o.Shards != 1 || o.NumProcs != 1 {
-		t.Fatalf("rung 3 options: %+v", o)
+	for r, want := range []int{4, 2, 1} {
+		if o := e.optionsFor(int32(r)); o.NumProcs != want {
+			t.Fatalf("rung %d options: %+v, want NumProcs %d", r, o, want)
+		}
 	}
 	// A single-proc base cannot halve below 1.
 	e.base.NumProcs = 1
-	if o := e.optionsFor(2); o.NumProcs != 1 {
-		t.Fatalf("rung 2 on p=1 base: %+v", o)
+	if o := e.optionsFor(1); o.NumProcs != 1 {
+		t.Fatalf("rung 1 on p=1 base: %+v", o)
+	}
+}
+
+// TestLadderStepsChangeOptions: every step down the ladder must change
+// the session options a graph is served with, or the step buys nothing
+// and only delays the next one. From p = 4 up the half rung sits
+// strictly between the configured and the sequential execution.
+func TestLadderStepsChangeOptions(t *testing.T) {
+	for _, p := range []int{4, 8} {
+		s := New(Config{NumProcs: p, PoolSize: 1, Warmups: 1})
+		defer s.Close()
+		if err := s.Register("g", gen.Spec{Kind: "torus2d", N: 256, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		e := s.lookup("g")
+		for r := int32(0); r < maxRung; r++ {
+			if reflect.DeepEqual(e.optionsFor(r), e.optionsFor(r+1)) {
+				t.Errorf("p=%d: rung %d and rung %d serve the same options %+v", p, r, r+1, e.optionsFor(r))
+			}
+		}
 	}
 }
 

@@ -21,7 +21,7 @@
 //
 //   - A per-graph degradation ladder (ladder.go) steps a graph whose
 //     runs keep stalling or blowing deadlines down to simpler execution
-//     (unsharded → fewer workers → sequential) and climbs back after a
+//     (half the workers → sequential) and climbs back after a
 //     cool-down.
 //   - A crash-safe registry journal (journal.go) replays the graph set
 //     across a SIGKILL.
@@ -118,14 +118,6 @@ type Config struct {
 	// Direction selects the traversal direction policy (the zero value,
 	// spantree.DirectionAuto, enables the bottom-up phase switch).
 	Direction spantree.Direction
-	// Shards selects the work-stealing shard count the pooled sessions
-	// run with: 0 (the default) applies the auto policy per registered
-	// graph — one shard per 256Ki vertices, capped at 8, so small
-	// graphs keep the single-team path and cache-bound ones get compact
-	// per-shard views — and any positive count forces that many shards
-	// for every graph (1 forces the single-team path). Only the
-	// work-stealing algorithm shards; AlgSpanUF always serves unsharded.
-	Shards int
 	// Algorithm selects the pooled algorithm: spantree.AlgWorkStealing
 	// (the zero value) or spantree.AlgSpanUF; the session layer rejects
 	// algorithms without workspace provisioning at registration.
@@ -331,17 +323,12 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 	if err != nil {
 		return nil, err
 	}
-	shards, err := s.resolveShards(g)
-	if err != nil {
-		return nil, err
-	}
 	base := spantree.SessionOptions{
 		Algorithm:   s.cfg.Algorithm,
 		NumProcs:    s.cfg.NumProcs,
 		ChunkPolicy: spantree.ChunkAdaptive,
 		Direction:   s.cfg.Direction,
 		Layout:      lay,
-		Shards:      shards,
 		Warmups:     s.cfg.Warmups,
 		StallBudget: s.cfg.StallBudget,
 	}
@@ -350,7 +337,7 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 		return nil, err
 	}
 	e := &entry{
-		name: name, spec: spec, g: g, layout: lay, shards: shards,
+		name: name, spec: spec, g: g, layout: lay,
 		base: base, poolSize: s.cfg.PoolSize,
 	}
 	e.pools[0] = pool
@@ -394,32 +381,6 @@ func (s *Server) resolveLayout(g *spantree.Graph) (spantree.Layout, error) {
 		return spantree.LayoutWide, nil
 	}
 	return spantree.LayoutWide, fmt.Errorf("bad layout policy %q (want auto, wide or compact)", s.cfg.Layout)
-}
-
-// resolveShards applies the server's shard policy to one graph: a
-// positive Config.Shards forces that count, 0 scales with graph size —
-// one shard per 256Ki vertices, capped at 8, so the partition's working
-// sets stay cache-sized without oversplitting the worker budget. Only
-// the work-stealing algorithm shards (AlgSpanUF's sweep has no shard
-// concept), so other pooled algorithms always resolve to 1.
-func (s *Server) resolveShards(g *spantree.Graph) (int, error) {
-	if s.cfg.Algorithm != spantree.AlgWorkStealing {
-		return 1, nil
-	}
-	if sh := s.cfg.Shards; sh != 0 {
-		if sh < 0 {
-			return 1, fmt.Errorf("bad shard count %d (want >= 0)", sh)
-		}
-		return sh, nil
-	}
-	sh := g.NumVertices() >> 18
-	if sh < 1 {
-		sh = 1
-	}
-	if sh > 8 {
-		sh = 8
-	}
-	return sh, nil
 }
 
 type errTooLarge struct{ n, max int }
@@ -477,8 +438,8 @@ type GraphInfo struct {
 	// Layout is the CSR layout the pool's sessions read ("wide" or
 	// "compact") — under the auto policy, what the server picked.
 	Layout string `json:"layout"`
-	// Shards is the work-stealing shard count the pool's sessions run
-	// with — under the auto policy, what the server picked.
+	// Shards is always 1: sharded execution was removed, and the field
+	// stays so existing clients of GET /v1/graphs still decode it.
 	Shards int `json:"shards"`
 	// Algorithm is the pooled algorithm serving this graph.
 	Algorithm string `json:"algorithm"`
@@ -645,7 +606,7 @@ func (s *Server) graphInfo(e *entry) GraphInfo {
 		PoolSize:  e.poolSize,
 		NumProcs:  s.cfg.NumProcs,
 		Layout:    e.layout.String(),
-		Shards:    e.shards,
+		Shards:    1,
 		Algorithm: s.cfg.Algorithm.String(),
 		Rung:      int(e.rung.Load()),
 	}

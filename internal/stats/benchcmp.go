@@ -340,24 +340,21 @@ func CompareHotpath(baselineJSON []byte, current *obs.Artifact, opt BenchCompare
 
 // TraversalVariants is the set of measurement policies an obs
 // artifact's parallel runs were measured under, collected from the
-// "alg", "direction", "layout" and "shards" run meta the harness
-// stamps. Empty slices mean the artifact predates variant stamping (or
+// "alg", "direction" and "layout" run meta the harness stamps. Empty slices mean the artifact predates variant stamping (or
 // has no stamped runs) — unknown, so nothing to warn about.
 type TraversalVariants struct {
 	Algs       []string
 	Directions []string
 	Layouts    []string
-	Shards     []string
 }
 
-// Variants collects an artifact's distinct alg, direction, layout and
-// shards stamps.
+// Variants collects an artifact's distinct alg, direction and layout
+// stamps.
 func Variants(a *obs.Artifact) TraversalVariants {
 	return TraversalVariants{
 		Algs:       metaSet(a, "alg"),
 		Directions: metaSet(a, "direction"),
 		Layouts:    metaSet(a, "layout"),
-		Shards:     metaSet(a, "shards"),
 	}
 }
 
@@ -389,9 +386,6 @@ func VariantWarning(base, cur TraversalVariants) string {
 		parts = append(parts, d)
 	}
 	if d := variantDiff("layout", base.Layouts, cur.Layouts); d != "" {
-		parts = append(parts, d)
-	}
-	if d := variantDiff("shards", base.Shards, cur.Shards); d != "" {
 		parts = append(parts, d)
 	}
 	if len(parts) == 0 {

@@ -35,11 +35,11 @@ type SessionOptions struct {
 	// Layout and ignores Direction.
 	Direction Direction
 	Layout    Layout
-	// Shards configures sharded execution exactly as in Options.Shards:
-	// the partition, the per-shard CSR views and the stitch scratch are
-	// built once at session construction, so sharded pooled runs stay
-	// allocation-free too. Requires FallbackThreshold == 0 when > 1.
-	// AlgSpanUF ignores it.
+	// Shards is kept so existing callers still compile: 0 and 1 select
+	// the one team every session runs, and NewSession rejects larger
+	// values.
+	//
+	// Deprecated: sharded execution was removed; leave Shards unset.
 	Shards int
 	// FallbackThreshold enables the pathological-case detection (see
 	// Options.FallbackThreshold). A triggered fallback allocates — only
@@ -123,6 +123,9 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 	if o.NumProcs < 1 {
 		return nil, fmt.Errorf("spantree: NumProcs = %d, need >= 0", opt.NumProcs)
 	}
+	if o.Shards > 1 {
+		return nil, fmt.Errorf("spantree: Shards = %d: sharded execution was removed, every session runs one team", o.Shards)
+	}
 	s := &Session{alg: o.Algorithm}
 	switch o.Algorithm {
 	case AlgWorkStealing:
@@ -132,7 +135,6 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 			ChunkSize:         o.ChunkSize,
 			Direction:         o.Direction,
 			Layout:            o.Layout,
-			Shards:            o.Shards,
 			FallbackThreshold: o.FallbackThreshold,
 			StallBudget:       o.StallBudget,
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,64 +124,21 @@ func TestSessionZeroAllocCompactBottomUp(t *testing.T) {
 	}
 }
 
-// TestSessionShardedZeroAlloc extends the zero-allocation guarantee to
-// sharded sessions: the partition, the per-shard compact views and the
-// stitch scratch are all built at construction, so a warmed session
-// running shard teams still serves requests without touching the heap.
-func TestSessionShardedZeroAlloc(t *testing.T) {
-	g := gen.Torus2D(32, 32)
-	for _, sh := range []int{2, 4} {
-		for _, p := range []int{1, 4} {
-			s, err := NewSession(g, SessionOptions{NumProcs: p, Shards: sh})
-			if err != nil {
-				t.Fatal(err)
-			}
-			avg := testing.AllocsPerRun(10, func() {
-				if _, err := s.FindContext(context.Background(), 42); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Errorf("shards=%d p=%d: AllocsPerRun = %v, want 0", sh, p, avg)
-			}
-			s.Close()
+// TestSessionRejectsShards: the deprecated SessionOptions.Shards still
+// accepts 0 and 1 (one team, the only execution there is) and rejects
+// larger counts with an error that names the removal.
+func TestSessionRejectsShards(t *testing.T) {
+	g := gen.Torus2D(16, 16)
+	for _, sh := range []int{0, 1} {
+		s, err := NewSession(g, SessionOptions{NumProcs: 2, Shards: sh})
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", sh, err)
 		}
+		s.Close()
 	}
-}
-
-// TestSessionShardedCancelThenReuse: a sharded session hit with expired
-// and canceled contexts — shard teams tripped mid-flight — returns the
-// typed errors and then completes cleanly, matching the one-shot result
-// at p=1.
-func TestSessionShardedCancelThenReuse(t *testing.T) {
-	g := gen.Torus2D(32, 32)
-	s, err := NewSession(g, SessionOptions{NumProcs: 2, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := s.FindContext(expired, 1); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("expired ctx: err = %v, want ErrDeadline", err)
-	}
-
-	canceled, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if _, err := s.FindContext(canceled, 2); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled ctx: err = %v, want ErrCanceled", err)
-	}
-
-	res, err := s.FindContext(context.Background(), 3)
-	if err != nil {
-		t.Fatalf("after cancels: %v", err)
-	}
-	if err := Verify(g, res.Parent); err != nil {
-		t.Fatalf("after cancels: %v", err)
-	}
-	if res.Roots != 1 {
-		t.Fatalf("after cancels: %d roots, want 1", res.Roots)
+	_, err := NewSession(g, SessionOptions{NumProcs: 2, Shards: 2})
+	if err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("Shards=2: err = %v, want the removal named", err)
 	}
 }
 
